@@ -117,7 +117,7 @@ def _percentiles(samples):
 
 def test_concurrent_wire_clients(benchmark):
     """The acceptance experiment: ≥32 clients, zero failed sessions."""
-    db = demo_database(mvcc=True, num_parts=150)
+    db = demo_database(num_parts=150)
     latencies = {name: [] for name in OP_NAMES}
     failures = []
     with ServerThread(db, max_connections=CLIENTS + 8) as server:
@@ -185,7 +185,7 @@ def test_concurrent_wire_clients(benchmark):
         )
 
     # a light single-client run for the pytest-benchmark table
-    db2 = demo_database(mvcc=True, num_parts=150)
+    db2 = demo_database(num_parts=150)
     with ServerThread(db2) as server:
         with WireClient(port=server.port) as client:
             _op_point_select(client, 1)  # warm

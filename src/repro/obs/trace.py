@@ -16,8 +16,8 @@ Distributed tracing
 -------------------
 
 Span stacks are thread-local, so any span opened on a different thread
-(a wire-server worker, a shard scatter worker) would normally start a
-fresh, *orphaned* tree.  A :class:`TraceContext` carries (trace id,
+(a wire-server worker, say) would normally start a fresh, *orphaned*
+tree.  A :class:`TraceContext` carries (trace id,
 parent span id, sampling decision) across that boundary explicitly:
 
 * ``tracer.current_context()`` captures the calling thread's innermost
@@ -74,14 +74,14 @@ def _next_trace_id() -> int:
 #: thread-name prefixes of the pools whose workers must receive an
 #: explicit TraceContext handoff; a root span completing on one of these
 #: without an adopted context is an orphan (checked once per root).
-_WORKER_THREAD_PREFIXES = ("ThreadPoolExecutor", "xnf-wire", "xnf-scatter")
+_WORKER_THREAD_PREFIXES = ("ThreadPoolExecutor", "xnf-wire")
 
 
 class TraceContext:
     """A portable parent reference: trace id + parent span id + sampling.
 
     ``span`` holds the live parent :class:`Span` when the context stays
-    in-process (scatter/gather handoff) so the worker's subtree links
+    in-process (a local thread handoff) so the worker's subtree links
     straight into the parent tree; it is ``None`` when the context
     crossed the wire, in which case the adopting root span becomes a
     local root that shares the remote trace id.

@@ -366,7 +366,7 @@ class Table:
 
     # -- read path ---------------------------------------------------------------
     #
-    # When the owning catalog runs in MVCC mode (``catalog.mvcc`` holds the
+    # When the table belongs to a catalog (``catalog.mvcc`` holds the
     # database's MVCCController) and the calling thread has an ambient
     # snapshot, reads resolve rows against the version store page by page:
     # copy the page's slots first, *then* consult the store.  Writers create
@@ -382,9 +382,9 @@ class Table:
         """``(store, snapshot)`` when snapshot resolution applies to this
         table right now, else None (use the plain heap path)."""
         catalog = self._catalog
-        mv = catalog.mvcc if catalog is not None else None
-        if mv is None:
+        if catalog is None:
             return None
+        mv = catalog.mvcc
         snap = mv.current_snapshot()
         if snap is None:
             return None
@@ -777,7 +777,7 @@ class ViewDefinition:
 class Catalog:
     """Name space of tables, views and their indexes."""
 
-    def __init__(self, buffer_pool: BufferPool):
+    def __init__(self, buffer_pool: BufferPool, mvcc: Any):
         self.buffer_pool = buffer_pool
         self.tables: Dict[str, Table] = {}
         self.views: Dict[str, ViewDefinition] = {}
@@ -792,10 +792,9 @@ class Catalog:
         #: Table object and must not survive).
         self._object_versions: Dict[str, int] = {}
         self._version_clock = 0
-        #: the owning Database's MVCCController when MVCC mode is enabled;
-        #: Table read paths consult it (duck-typed — the catalog never
-        #: imports the txn layer)
-        self.mvcc: Optional[Any] = None
+        #: the owning Database's MVCCController; Table read paths consult
+        #: it (duck-typed — the catalog never imports the txn layer)
+        self.mvcc = mvcc
         # serializes name-space and version mutations across session
         # threads; lookups stay lock-free (single dict reads are atomic)
         self._mutex = threading.RLock()

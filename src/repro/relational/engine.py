@@ -58,12 +58,7 @@ from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 from repro.relational.storage import BufferPool, DiskManager
 from repro.relational.systables import install_sys_tables
-from repro.relational.txn.locks import LockMode
-from repro.relational.txn.manager import (
-    IsolationLevel,
-    Transaction,
-    TransactionManager,
-)
+from repro.relational.txn.manager import Transaction, TransactionManager
 from repro.relational.txn.mvcc import MVCCController, set_ambient_snapshot
 from repro.relational.txn.wal import WriteAheadLog
 from repro.relational.types import type_from_name
@@ -127,15 +122,13 @@ class Session:
     the no-wait lock manager surfaces conflicts as immediate
     :class:`DeadlockError`\\ s — or run one-session-per-thread against a
     shared Database (the Database's transaction pointer is thread-local).
-    Under MVCC mode reads never block on writers; see the README cookbook
-    for the multi-threaded pattern.  Used to demonstrate the isolation
-    degrees of section 1 across "applications" sharing the database
-    (Fig. 7).
+    Reads are served from snapshots and never block on writers; see the
+    README cookbook for the multi-threaded pattern.  Used to demonstrate
+    "applications" sharing the database (Fig. 7).
     """
 
-    def __init__(self, db: "Database", isolation: Optional[IsolationLevel] = None):
+    def __init__(self, db: "Database"):
         self.db = db
-        self.isolation = isolation or db.isolation
         self._txn: Optional[Transaction] = None
         #: per-session statement timeout; None inherits the database default
         self.statement_timeout_s: Optional[float] = None
@@ -155,9 +148,9 @@ class Session:
         with self._activate():
             return self.db.execute_ast(stmt)
 
-    def begin(self, isolation: Optional[IsolationLevel] = None) -> None:
+    def begin(self) -> None:
         with self._activate():
-            self.db.begin(isolation or self.isolation)
+            self.db.begin()
 
     def commit(self) -> None:
         with self._activate():
@@ -198,11 +191,8 @@ class Session:
         class _Swap:
             def __enter__(self):
                 db = session.db
-                self.saved = (
-                    db._txn, db.isolation, db._timeout_override, db._session_id
-                )
+                self.saved = (db._txn, db._timeout_override, db._session_id)
                 db._txn = session._txn
-                db.isolation = session.isolation
                 db._timeout_override = session.statement_timeout_s
                 db._session_id = session.session_id
                 # Adopt the handed-over trace context (if any) so the root
@@ -218,9 +208,7 @@ class Session:
                 if self.adopted is not None:
                     self.adopted.__exit__(*exc_info)
                 session._txn = db._txn
-                (
-                    db._txn, db.isolation, db._timeout_override, db._session_id
-                ) = self.saved
+                db._txn, db._timeout_override, db._session_id = self.saved
                 return False
 
         return _Swap()
@@ -246,7 +234,6 @@ class Database:
         statement_stats: bool = True,
         optimizer_feedback: bool = False,
         executor: Optional[str] = None,
-        mvcc: Optional[bool] = None,
         max_concurrent_txns: Optional[int] = None,
         shards: Optional[int] = None,
     ):
@@ -255,20 +242,16 @@ class Database:
         # Database.recover and tests/relational/test_crash_recovery.py).
         self.disk = disk if disk is not None else DiskManager(page_size)
         self.buffer_pool = BufferPool(self.disk, buffer_capacity)
-        self.catalog = Catalog(self.buffer_pool)
+        #: snapshot isolation, the only concurrency mode: reads are served
+        #: from snapshots and take no locks (writers never block readers),
+        #: writers take no-wait X locks, and write-write conflicts raise
+        #: the retryable SerializationError (first committer wins).
+        self.mvcc = MVCCController()
+        self.catalog = Catalog(self.buffer_pool, self.mvcc)
         self.builder = QGMBuilder(self.catalog)
         self.txn_manager = TransactionManager(
-            wal=wal, max_concurrent_txns=max_concurrent_txns
+            self.mvcc, wal=wal, max_concurrent_txns=max_concurrent_txns
         )
-        #: MVCC snapshot isolation: explicit ``mvcc=`` argument, then the
-        #: REPRO_MVCC environment variable, default off.  When on, reads are
-        #: served from snapshots (no S locks, writers never block readers)
-        #: and write-write conflicts raise the retryable SerializationError.
-        if mvcc is None:
-            mvcc = os.environ.get("REPRO_MVCC", "") not in ("", "0", "false")
-        self.mvcc: Optional[MVCCController] = MVCCController() if mvcc else None
-        self.catalog.mvcc = self.mvcc
-        self.txn_manager.mvcc = self.mvcc
         self.buffer_pool.pre_write_hook = self._wal_ahead_of
         #: database-wide default; wire sessions may override it per-thread
         #: through the ``statement_timeout_s`` property (Session swaps the
@@ -302,13 +285,11 @@ class Database:
         if disk is not None or wal is not None:
             shards = 0
         self.default_shards = shards if shards >= 2 else 0
-        # Per-thread session state: the current transaction, the session
-        # default isolation, and the last statement's fingerprint/cache-hit
-        # flags all live in a thread-local, so one Database instance can be
-        # shared by concurrent session threads (each thread runs its own
-        # statements against its own transaction).
+        # Per-thread session state: the current transaction and the last
+        # statement's fingerprint/cache-hit flags live in a thread-local, so
+        # one Database instance can be shared by concurrent session threads
+        # (each thread runs its own statements against its own transaction).
         self._tls = threading.local()
-        self._default_isolation = IsolationLevel.REPEATABLE_READ
         self.last_timings: Dict[str, float] = {}
         self.statements_executed = 0
         self.plan_cache = PlanCache(plan_cache_capacity)
@@ -373,14 +354,6 @@ class Database:
     @_txn.setter
     def _txn(self, value: Optional[Transaction]) -> None:
         self._tls.txn = value
-
-    @property
-    def isolation(self) -> IsolationLevel:
-        return getattr(self._tls, "isolation", None) or self._default_isolation
-
-    @isolation.setter
-    def isolation(self, value: Optional[IsolationLevel]) -> None:
-        self._tls.isolation = value
 
     @property
     def statement_timeout_s(self) -> Optional[float]:
@@ -463,9 +436,9 @@ class Database:
     def query(self, sql: str) -> Result:
         return self.execute(sql)
 
-    def connect(self, isolation: Optional[IsolationLevel] = None) -> Session:
+    def connect(self) -> Session:
         """Open an additional session (own transaction state, shared data)."""
-        return Session(self, isolation)
+        return Session(self)
 
     _SPAN_NAMES: Dict[type, str] = {}
 
@@ -634,8 +607,6 @@ class Database:
         The plan is compiled outside the cache so the shadowed (counting)
         ``rows`` methods can never leak into a cached, shared plan.
         """
-        for table in self._tables_of(query):
-            self._lock(table, LockMode.SHARED)
         plan = self._analyze_compile(query)
         op_stats = instrument_plan(plan.op)
         start = time.perf_counter()
@@ -646,7 +617,6 @@ class Database:
             if batches:
                 span.annotate(batches=batches)
         self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
         self._record_estimates(op_stats)
         lines = render_analyzed(plan.op, op_stats).splitlines()
         lines.append(f"actual rows: {len(rows)}")
@@ -809,8 +779,6 @@ class Database:
         return Rewriter().rewrite(box)
 
     def _run_query(self, query: ast.Query) -> Result:
-        for table in self._tables_of(query):
-            self._lock(table, LockMode.SHARED)
         op_stats = None
         values: Optional[List[Any]] = None
         if self.analyze_statements:
@@ -838,7 +806,6 @@ class Database:
                     span.annotate(batches=batches)
                 span.annotate(detail=render_analyzed(plan.op, op_stats))
         self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
         if op_stats is not None:
             self._record_estimates(op_stats)
         return Result(plan.columns, rows, len(rows))
@@ -847,8 +814,6 @@ class Database:
         self, normalized: NormalizedStatement, values: List[Any]
     ) -> Result:
         """Run a prepared query: cached plan + (explicit ++ lifted) params."""
-        for table in self._tables_of(normalized.statement):
-            self._lock(table, LockMode.SHARED)
         plan = self._cached_plan(normalized)
         start = time.perf_counter()
         with self.tracer.span("execute") as span:
@@ -857,20 +822,16 @@ class Database:
             )
             span.annotate(rows=len(rows), executor=self.executor_mode)
         self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
         return Result(plan.columns, rows, len(rows))
 
     @contextlib.contextmanager
     def _snapshot_scope(self):
         """Install this statement's MVCC snapshot as the thread's ambient
         snapshot: the open transaction's, or a fresh ephemeral one for an
-        autocommit read.  No-op when MVCC mode is off."""
+        autocommit read."""
         mv = self.mvcc
-        if mv is None:
-            yield None
-            return
         txn = self._txn
-        if txn is not None and txn.active and txn.snapshot is not None:
+        if txn is not None and txn.active:
             snap, ephemeral = txn.snapshot, False
         else:
             snap, ephemeral = mv.snapshots.begin(), True
@@ -974,7 +935,7 @@ class Database:
         """
         implicit = not self.in_transaction
         if implicit:
-            self._txn = self.txn_manager.begin(self.isolation, implicit=True)
+            self._txn = self.txn_manager.begin()
         txn = self._txn
         assert txn is not None
         try:
@@ -1033,7 +994,7 @@ class Database:
         self, stmt: ast.InsertStmt, params: Optional[List[Any]] = None
     ) -> Result:
         table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
+        self._lock(table.name)
         if stmt.columns is not None:
             positions = [table.position_of(col) for col in stmt.columns]
         else:
@@ -1059,17 +1020,18 @@ class Database:
             row: List[Any] = [None] * len(table.columns)
             for pos, value in zip(positions, values):
                 row[pos] = value
-            rid = self._mvcc_insert(table, tuple(row))
+            rid = self.mvcc.store.insert_with_note(
+                self._txn.txn_id, table, tuple(row)
+            )
             self._record_insert(table, rid)
             count += 1
-        self._end_of_statement()
         return Result(rowcount=count)
 
     def _do_update(
         self, stmt: ast.UpdateStmt, params: Optional[List[Any]] = None
     ) -> Result:
         table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
+        self._lock(table.name)
         columns = table.column_names()
         layout = {(table.name, col): pos + 1 for pos, col in enumerate(columns)}
         planner = Planner(self.catalog, PlanContext(list(params or [])))
@@ -1098,20 +1060,19 @@ class Database:
                 new_row[pos] = fn(tagged, [])
             pending.append((rid, row, tuple(new_row)))
         for rid, old_row, new_row in pending:
-            self._mvcc_write_check(table, rid)
+            self.mvcc.store.check_write(table.name, rid, self._txn.snapshot)
             self._mvcc_apply(
                 table, rid, old_row, new_row,
                 lambda: table.update(rid, new_row),
             )
             self._record_update(table, rid, old_row, new_row)
-        self._end_of_statement()
         return Result(rowcount=len(pending))
 
     def _do_delete(
         self, stmt: ast.DeleteStmt, params: Optional[List[Any]] = None
     ) -> Result:
         table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
+        self._lock(table.name)
         columns = table.column_names()
         layout = {(table.name, col): pos + 1 for pos, col in enumerate(columns)}
         planner = Planner(self.catalog, PlanContext(list(params or [])))
@@ -1129,10 +1090,9 @@ class Database:
                 continue
             pending.append((tagged[0], tagged[1:]))
         for rid, row in pending:
-            self._mvcc_write_check(table, rid)
+            self.mvcc.store.check_write(table.name, rid, self._txn.snapshot)
             self._mvcc_apply(table, rid, row, None, lambda: table.delete(rid))
             self._record_delete(table, rid, row)
-        self._end_of_statement()
         return Result(rowcount=len(pending))
 
     # -- DDL -------------------------------------------------------------------
@@ -1210,10 +1170,10 @@ class Database:
     def in_transaction(self) -> bool:
         return self._txn is not None and self._txn.active
 
-    def begin(self, isolation: Optional[IsolationLevel] = None) -> None:
+    def begin(self) -> None:
         if self.in_transaction:
             raise TransactionError("transaction already in progress")
-        self._txn = self.txn_manager.begin(isolation or self.isolation)
+        self._txn = self.txn_manager.begin()
 
     def commit(self) -> None:
         if not self.in_transaction:
@@ -1284,11 +1244,9 @@ class Database:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def vacuum(self) -> Dict[str, int]:
-        """Run one MVCC garbage-collection pass: drop row versions older
-        than the oldest active snapshot.  No-op (zero counters) when MVCC
-        mode is off."""
-        if self.mvcc is None:
-            return {"horizon": 0, "pruned": 0, "dropped": 0}
+        """Run one version-store garbage-collection pass: drop row versions
+        older than the oldest active snapshot.  Returns the pass's
+        ``horizon``/``pruned``/``dropped`` counters."""
         return self.mvcc.store.vacuum()
 
     # -- sharding ------------------------------------------------------------------
@@ -1321,7 +1279,7 @@ class Database:
             raise CatalogError(
                 f"{name} is a shard view; repartition its parent table"
             )
-        if self.mvcc is not None and self.mvcc.store.dirty(table.name):
+        if self.mvcc.store.dirty(table.name):
             raise TransactionError(
                 f"cannot repartition {name} while row versions are in flight"
             )
@@ -1366,75 +1324,25 @@ class Database:
             new_table.analyze()
         return new_table
 
-    def _mvcc_write_check(self, table: Table, rid) -> None:
-        """First-committer-wins: before physically touching a row, verify
-        its current version is not newer than this transaction's snapshot
-        (raises the retryable SerializationError otherwise)."""
-        mv = self.mvcc
-        if mv is None:
-            return
-        txn = self._txn
-        if txn is None or txn.snapshot is None:
-            return
-        mv.store.check_write(table.name, rid, txn.snapshot)
-
-    def _mvcc_insert(self, table: Table, row: Tuple[Any, ...]):
-        """Heap insert with the version note taken in the same store
-        critical section, so snapshot scans that observe the new heap row
-        always find the entry that hides it until commit."""
-        mv = self.mvcc
-        txn = self._txn
-        if mv is None or txn is None or txn.snapshot is None:
-            return table.insert(row)
-        return mv.store.insert_with_note(txn.txn_id, table, row)
-
     def _mvcc_apply(self, table: Table, rid, before, after, apply_fn) -> None:
         """Run a physical update/delete with its version note registered
         *first*: lock-free readers read the heap row before the store, so
         a missing entry must mean the heap row was untouched at read time.
         If the physical change fails the note is retracted."""
-        mv = self.mvcc
-        txn = self._txn
-        if mv is None or txn is None or txn.snapshot is None:
-            apply_fn()
-            return
-        mv.store.note_write(txn.txn_id, table.name, rid, before, after)
+        store = self.mvcc.store
+        txn_id = self._txn.txn_id
+        store.note_write(txn_id, table.name, rid, before, after)
         try:
             apply_fn()
         except BaseException:
-            mv.store.pop_note(txn.txn_id)
+            store.pop_note(txn_id)
             raise
 
-    def _lock(self, table: str, mode: LockMode) -> None:
-        txn = self._txn
-        if txn is None or not txn.active:
-            return
-        if self.mvcc is not None:
-            # MVCC mode: reads are served from snapshots and take no locks
-            # at all (writers never block readers and vice versa).  Writers
-            # — implicit per-statement transactions included, since other
-            # threads can interleave mid-statement — take no-wait X locks
-            # for writer-writer ordering.
-            if mode is LockMode.SHARED:
-                return
-            self.txn_manager.locks.acquire(txn.txn_id, table, mode)
-            return
-        # Implicit (per-statement) transactions skip lock acquisition: the
-        # statement completes before control returns to any other session,
-        # so statement-scope locks would never be observed — and taking
-        # them would make autocommit DML conflict with open transactions,
-        # which the pre-transactional autocommit path never did.
-        if not txn.implicit:
-            self.txn_manager.locks.acquire(txn.txn_id, table, mode)
-
-    def _end_of_statement(self) -> None:
-        """Cursor stability releases read locks at statement end."""
-        if (
-            self._txn is not None
-            and self._txn.active
-            and self._txn.isolation is IsolationLevel.CURSOR_STABILITY
-        ):
-            self.txn_manager.locks.release_shared(self._txn.txn_id)
+    def _lock(self, table: str) -> None:
+        """No-wait X lock on *table* for the writing transaction (implicit
+        per-statement transactions included, since other threads can
+        interleave mid-statement).  Reads take no locks at all."""
+        self.txn_manager.locks.acquire(self._txn.txn_id, table)
 
     def _record_insert(self, table: Table, rid) -> None:
         # DML always runs inside a transaction now: explicit, or the
@@ -1486,30 +1394,6 @@ class Database:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _tables_of(self, query: ast.Query) -> List[str]:
-        names: List[str] = []
-
-        def visit_table_ref(ref: ast.TableRef) -> None:
-            if isinstance(ref, ast.NamedTable):
-                if self.catalog.has_table(ref.name):
-                    names.append(ref.name.upper())
-            elif isinstance(ref, ast.DerivedTable):
-                visit_query(ref.subquery)
-            elif isinstance(ref, ast.Join):
-                visit_table_ref(ref.left)
-                visit_table_ref(ref.right)
-
-        def visit_query(q: ast.Query) -> None:
-            if isinstance(q, ast.SetOpStmt):
-                visit_query(q.left)
-                visit_query(q.right)
-                return
-            for ref in q.from_tables:
-                visit_table_ref(ref)
-
-        visit_query(query)
-        return names
-
     def io_stats(self) -> Dict[str, int]:
         """Storage counters used by the clustering/extraction benchmarks."""
         return {
@@ -1553,11 +1437,7 @@ class Database:
                 ).value,
                 "retries": self.metrics.counter("txn.retries").value,
             },
-            "mvcc": (
-                {"enabled": True, **self.mvcc.metrics()}
-                if self.mvcc is not None
-                else {"enabled": False}
-            ),
+            "mvcc": self.mvcc.metrics(),
             "fixpoint": fixpoint,
             "plan_cache": self.plan_cache.stats(),
             "statements": {

@@ -39,8 +39,8 @@ class PlanOp:
 def _mvcc_state(table):
     """``(store, snapshot)`` when MVCC snapshot resolution applies to
     *table* right now, else None.  Virtual tables (no ``_mvcc_read_state``)
-    and the fast path (MVCC off / no ambient snapshot / no versioned rows)
-    all return None, keeping the common case allocation-free.
+    and the fast path (no ambient snapshot / no versioned rows) all
+    return None, keeping the common case allocation-free.
 
     Index scans need MVCC care beyond Table.scan(): index entries reflect
     the *latest* row versions, so a probe must (a) resolve each RID through

@@ -25,7 +25,6 @@ Crash recovery itself lives in :mod:`repro.relational.txn.recovery`.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -37,13 +36,6 @@ from repro.relational.storage.heap import RID
 from repro.relational.txn import wal as wal_kinds
 from repro.relational.txn.locks import LockManager
 from repro.relational.txn.wal import LogRecord, WriteAheadLog
-
-
-class IsolationLevel(enum.Enum):
-    """The two degrees of isolation the paper names (section 1)."""
-
-    REPEATABLE_READ = "repeatable read"
-    CURSOR_STABILITY = "cursor stability"
 
 
 @dataclass
@@ -60,15 +52,11 @@ class _UndoEntry:
 @dataclass
 class Transaction:
     txn_id: int
-    isolation: IsolationLevel
     undo: List[_UndoEntry] = field(default_factory=list)
     active: bool = True
     #: LSN of this transaction's most recent log record
     last_lsn: int = 0
-    #: True for the per-statement transaction the engine wraps around
-    #: autocommit DML (statement == transaction)
-    implicit: bool = False
-    #: MVCC read snapshot (None when MVCC mode is off)
+    #: MVCC read snapshot (None once the transaction has ended)
     snapshot: Optional[Any] = None
 
 
@@ -80,6 +68,7 @@ class TransactionManager:
 
     def __init__(
         self,
+        mvcc: Any,
         wal: Optional[WriteAheadLog] = None,
         max_concurrent_txns: Optional[int] = None,
     ):
@@ -89,8 +78,8 @@ class TransactionManager:
         self._active: Dict[int, Transaction] = {}
         # guards _active / the id clock / admission across session threads
         self._mutex = threading.RLock()
-        #: MVCCController when the owning Database runs in MVCC mode
-        self.mvcc: Optional[Any] = None
+        #: the owning Database's MVCCController (snapshots, version store)
+        self.mvcc = mvcc
         #: admission-control ceiling on concurrently active transactions
         #: (None = unlimited); rejections raise the retryable AdmissionError
         self.max_concurrent_txns = max_concurrent_txns
@@ -107,11 +96,7 @@ class TransactionManager:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def begin(
-        self,
-        isolation: IsolationLevel = IsolationLevel.REPEATABLE_READ,
-        implicit: bool = False,
-    ) -> Transaction:
+    def begin(self) -> Transaction:
         with self._mutex:
             ceiling = self.max_concurrent_txns
             if ceiling is not None and len(self._active) >= ceiling:
@@ -120,13 +105,12 @@ class TransactionManager:
                     f"admission control: {len(self._active)} transactions "
                     f"active (max {ceiling}); retry after backoff"
                 )
-            txn = Transaction(next(self._ids), isolation, implicit=implicit)
+            txn = Transaction(next(self._ids))
             self._active[txn.txn_id] = txn
             self.begun += 1
         record = self.wal.append(txn.txn_id, wal_kinds.BEGIN)
         txn.last_lsn = record.lsn
-        if self.mvcc is not None:
-            txn.snapshot = self.mvcc.snapshots.begin(txn.txn_id)
+        txn.snapshot = self.mvcc.snapshots.begin(txn.txn_id)
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -154,17 +138,15 @@ class TransactionManager:
         self.commits += 1
         txn.active = False
         txn.undo.clear()
-        if self.mvcc is not None:
-            # The commit point is durable; stamp the displaced versions
-            # with one commit timestamp and retire the snapshot.
-            self.mvcc.store.commit_txn(txn.txn_id)
-            self.mvcc.release(txn.snapshot)
-            txn.snapshot = None
+        # The commit point is durable; stamp the displaced versions with
+        # one commit timestamp and retire the snapshot.
+        self.mvcc.store.commit_txn(txn.txn_id)
+        self.mvcc.release(txn.snapshot)
+        txn.snapshot = None
         with self._mutex:
             self._active.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
-        if self.mvcc is not None:
-            self.mvcc.maybe_autovacuum()
+        self.mvcc.maybe_autovacuum()
 
     def rollback(self, txn: Transaction) -> None:
         self._check_active(txn)
@@ -173,12 +155,11 @@ class TransactionManager:
         self.aborts += 1
         txn.active = False
         txn.undo.clear()
-        if self.mvcc is not None:
-            # the undo pass popped the version notes in lockstep; this is
-            # defensive cleanup plus snapshot retirement
-            self.mvcc.store.abort_txn(txn.txn_id)
-            self.mvcc.release(txn.snapshot)
-            txn.snapshot = None
+        # the undo pass popped the version notes in lockstep; this is
+        # defensive cleanup plus snapshot retirement
+        self.mvcc.store.abort_txn(txn.txn_id)
+        self.mvcc.release(txn.snapshot)
+        txn.snapshot = None
         with self._mutex:
             self._active.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
@@ -236,9 +217,8 @@ class TransactionManager:
                 )
                 entry.table.stamp_lsn(entry.rid, clr.lsn)  # type: ignore[arg-type]
             txn.last_lsn = clr.lsn
-            if self.mvcc is not None:
-                # version notes are 1:1 with undo entries; unwind in lockstep
-                self.mvcc.store.pop_note(txn.txn_id)
+            # version notes are 1:1 with undo entries; unwind in lockstep
+            self.mvcc.store.pop_note(txn.txn_id)
             undone += 1
         return undone
 
@@ -354,8 +334,7 @@ class TransactionManager:
             self._ids = itertools.count(max_txn_id + 1)
             self._active.clear()
             self.locks = LockManager()
-        if self.mvcc is not None:
-            self.mvcc.reset()
+        self.mvcc.reset()
 
     def recover(self, database) -> "RecoveryStats":  # noqa: F821
         """Run ARIES-style crash recovery over *database* (see

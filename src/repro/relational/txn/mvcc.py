@@ -38,7 +38,7 @@ Conflict policy is first-committer-wins: a write to a row whose current
 version committed after the writer's snapshot raises the retryable
 :class:`~repro.errors.SerializationError`.  Writer-writer ordering is
 still provided by the no-wait table X-locks; readers take no locks at
-all in MVCC mode.
+all.
 
 Vacuum prunes history images whose end timestamp is at or below the
 oldest active snapshot's ``read_ts`` and drops entries that have become
@@ -513,7 +513,8 @@ def set_ambient_snapshot(snap: Optional[Snapshot]) -> Optional[Snapshot]:
 
 
 class MVCCController:
-    """Facade owned by :class:`Database` when MVCC mode is enabled.
+    """Facade owned by every :class:`Database` (snapshot isolation is
+    its only concurrency mode).
 
     Bundles the snapshot manager and version store, plus an autovacuum
     trigger: after a commit pushes the number of versioned rows past

@@ -126,7 +126,7 @@ def concurrent_sessions(port: int, fan_out: int = 8) -> None:
 
 
 def main() -> int:
-    db = demo_database(mvcc=True)
+    db = demo_database()
     with ServerThread(db, max_connections=32) as server:
         port = server.port
         print(f"server on 127.0.0.1:{port}", flush=True)

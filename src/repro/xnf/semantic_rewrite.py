@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -376,12 +375,7 @@ class XNFCompiler:
         candidate_tables: Dict[str, str],
         delta_table: str,
     ) -> List[Tuple[str, sql_ast.SelectStmt]]:
-        """Build one reachability query per child partner of *edge*.
-
-        Always runs on the instantiating thread: ``_node_reference`` may
-        materialise candidate worktables (a catalog mutation), which must
-        never race between shard workers.
-        """
+        """Build one reachability query per child partner of *edge*."""
         from_tables: List[sql_ast.TableRef] = [
             sql_ast.NamedTable(delta_table, edge.parent_binding),
         ]
@@ -412,10 +406,8 @@ class XNFCompiler:
         edge: EdgeSchema,
         candidate_tables: Dict[str, str],
         delta_table: str,
-        derived: Optional[Dict[str, List[Row]]] = None,
     ) -> Dict[str, List[Row]]:
-        if derived is None:
-            derived = {}
+        derived: Dict[str, List[Row]] = {}
         for child_name, query in self._child_queries(
             edge, candidate_tables, delta_table
         ):
@@ -438,55 +430,21 @@ class XNFCompiler:
         if skipped:
             self.db.metrics.inc("xnf.scatter.delta_skipped", skipped)
         sink = self.shard_stats.setdefault(edge.name, {})
-        # Materialise every shard delta and build its queries up front on
-        # this thread (worktable and candidate materialisation mutate the
-        # catalog); only the built queries fan out to workers below.
-        jobs: List[Tuple[int, List[Tuple[str, sql_ast.SelectStmt]]]] = []
+        derived: Dict[str, List[Row]] = {}
+        # Shard order, on the statement's thread (see the sharding module).
         for shard_id in sorted(buckets):
             rows = buckets[shard_id]
             sink[shard_id] = sink.get(shard_id, 0) + len(rows)
             delta_table = self._materialize(
                 f"DELTA_{edge.parent}_S{shard_id}", columns[edge.parent], rows
             )
-            jobs.append(
-                (shard_id, self._child_queries(edge, candidate_tables, delta_table))
-            )
-        db = self.db
-        tracer = db.tracer
-        # Explicit trace handoff (as in sharding.scatter_candidates): the
-        # per-shard delta spans must parent under the statement span even
-        # when opened on a pool worker's fresh thread-local stack.
-        context = tracer.current_context()
-
-        def run_shard(
-            job: Tuple[int, List[Tuple[str, sql_ast.SelectStmt]]]
-        ) -> List[Tuple[str, List[Row]]]:
-            shard_id, queries = job
-            with tracer.adopt(context):
-                with tracer.span("xnf.delta.shard", shard=shard_id) as span:
-                    out = [
-                        (child_name, db.execute_ast(query).rows)
-                        for child_name, query in queries
-                    ]
-                    span.annotate(rows=sum(len(r) for _, r in out))
-                    return out
-
-        if len(jobs) > 1 and not db.in_transaction:
-            # Same snapshot reasoning as scatter_candidates: autocommit
-            # reads resolve on each worker exactly as a serial autocommit
-            # statement would; a pinned transaction snapshot keeps the
-            # whole exchange on the calling thread instead.
-            with ThreadPoolExecutor(
-                max_workers=len(jobs), thread_name_prefix="xnf-scatter"
-            ) as pool:
-                partials = list(pool.map(run_shard, jobs))
-        else:
-            partials = [run_shard(job) for job in jobs]
-        derived: Dict[str, List[Row]] = {}
-        for (_, queries), partial in zip(jobs, partials):
-            self.stats.queries_issued += len(queries)
-            for child_name, rows in partial:
-                derived.setdefault(child_name, []).extend(rows)
+            with self.db.tracer.span("xnf.delta.shard", shard=shard_id) as span:
+                partial = self._run_child_queries(
+                    edge, candidate_tables, delta_table
+                )
+                span.annotate(rows=sum(len(r) for r in partial.values()))
+            for child_name, child_rows in partial.items():
+                derived.setdefault(child_name, []).extend(child_rows)
         return derived
 
     def _derive_connections(

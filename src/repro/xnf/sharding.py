@@ -8,9 +8,9 @@ The semantic rewrite produces one query per node/edge (see
   skipping shards whose partition bounds / zone maps prove the query's
   restriction predicate unsatisfiable there (the work reduction that makes
   partitioned extraction pay off on a single core), running the remaining
-  per-shard queries on a thread pool when no ambient transaction pins the
-  calling thread's snapshot, and gathering results in shard order so the
-  row order matches the facade's chained scan exactly;
+  per-shard queries one after another on the statement's own thread, and
+  gathering results in shard order so the row order matches the facade's
+  chained scan exactly;
 * **partitions** semi-naive fixpoint deltas by the partition key of the
   edge's USING table, materialising one ``XNF_DELTA_<node>_S<i>`` scratch
   worktable per shard and skipping shards whose delta partition is empty —
@@ -20,12 +20,16 @@ Both transformations are pure work-splitting: a scatter is a union of
 disjoint shard reads and a delta partition is a partition of the join's
 outer side, so results are identical to the unsharded plan (the equivalence
 suite asserts bit-identical instances).
+
+Shards run serially on purpose: under the GIL a thread pool measured
+slower than the serial loop, and pruning, not threads, is where the
+speedup comes from.  Serial execution also keeps every per-shard span on
+the statement's thread, under the statement span, with no handoff.
 """
 
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.relational.catalog import ShardedTable
@@ -340,38 +344,14 @@ def scatter_candidates(
         for shard_id in shard_ids
     ]
     db.metrics.inc("xnf.scatter.queries", len(queries))
-    # Hand the calling thread's trace context to each scatter worker
-    # explicitly: worker threads have fresh thread-local span stacks, so
-    # without the handoff every per-shard span would be an orphaned root
-    # instead of a child of the statement span.
-    tracer = db.tracer
-    context = tracer.current_context()
-
-    def run_shard(shard_id: int, shard_query: Any) -> Any:
-        with tracer.adopt(context):
-            with tracer.span("xnf.scatter.shard", shard=shard_id) as span:
-                result = db.execute_ast(shard_query)
-                span.annotate(rows=len(result.rows))
-                return result
-
-    if len(queries) > 1 and not db.in_transaction:
-        # Autocommit reads carry no ambient snapshot into worker threads,
-        # so each per-shard query resolves exactly like a serial autocommit
-        # statement would.  Inside a transaction the snapshot is pinned to
-        # the calling thread: run serially to preserve it.
-        with ThreadPoolExecutor(
-            max_workers=len(queries), thread_name_prefix="xnf-scatter"
-        ) as pool:
-            results = list(pool.map(run_shard, shard_ids, queries))
-    else:
-        results = [
-            run_shard(shard_id, shard_query)
-            for shard_id, shard_query in zip(shard_ids, queries)
-        ]
-    columns = results[0].columns
+    columns: Optional[List[str]] = None
     rows: List[Row] = []
     per_shard: Dict[int, int] = {}
-    for shard_id, result in zip(shard_ids, results):
+    for shard_id, shard_query in zip(shard_ids, queries):
+        with db.tracer.span("xnf.scatter.shard", shard=shard_id) as span:
+            result = db.execute_ast(shard_query)
+            span.annotate(rows=len(result.rows))
+        columns = result.columns
         per_shard[shard_id] = len(result.rows)
         rows.extend(result.rows)
     return columns, rows, per_shard, pruned

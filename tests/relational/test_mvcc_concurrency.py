@@ -49,7 +49,7 @@ COMPANY_BUDGET_TOTAL = 3500.0
 
 
 def _company_db() -> Database:
-    return company.figure1_database(mvcc=True)
+    return company.figure1_database()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ class TestRetryableTaxonomy:
         )
 
     def test_run_retryable_exhausts_budget(self):
-        db = Database(mvcc=True)
+        db = Database()
 
         def always_fails():
             raise SerializationError("induced")
@@ -215,7 +215,7 @@ class TestRetryableTaxonomy:
         assert db.metrics.counter("txn.retries").value == 2
 
     def test_run_retryable_does_not_retry_plain_errors(self):
-        db = Database(mvcc=True)
+        db = Database()
         calls = []
 
         def fails():
@@ -229,7 +229,7 @@ class TestRetryableTaxonomy:
 
 class TestAdmissionControl:
     def test_over_limit_begin_rejected(self):
-        db = Database(mvcc=True, max_concurrent_txns=2)
+        db = Database(max_concurrent_txns=2)
         db.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
         a, b, c = db.connect(), db.connect(), db.connect()
         a.begin()
@@ -307,7 +307,7 @@ class TestVacuum:
 
 class TestStatementTimeoutVectorized:
     def test_timeout_aborts_between_batches_with_clean_state(self):
-        db = Database(mvcc=True, executor="batch")
+        db = Database(executor="batch")
         db.execute("CREATE TABLE BIG (a INTEGER PRIMARY KEY, b INTEGER)")
         rows = ",".join(f"({i},{i % 97})" for i in range(3000))
         db.execute(f"INSERT INTO BIG VALUES {rows}")
@@ -324,7 +324,7 @@ class TestStatementTimeoutVectorized:
         assert db.query("SELECT COUNT(*) FROM BIG").scalar() == 3000
 
     def test_timeout_outside_txn_leaves_no_snapshot(self):
-        db = Database(mvcc=True, executor="batch", statement_timeout_s=1e-9)
+        db = Database(executor="batch", statement_timeout_s=1e-9)
         db.execute("CREATE TABLE T2 (a INTEGER PRIMARY KEY)")
         db.execute(
             "INSERT INTO T2 VALUES "
@@ -525,7 +525,7 @@ class TestOO1Chaos:
     WRITER_TXNS = 12
 
     def test_snapshot_consistent_co_extraction(self, seed):
-        db = oo1.build_parts_database(60, seed=seed, mvcc=True)
+        db = oo1.build_parts_database(60, seed=seed)
         import random as _random
 
         errors: list = []
@@ -620,7 +620,7 @@ class TestLostUpdates:
     INCREMENTS = 8
 
     def test_concurrent_increments_never_lost(self, seed):
-        db = Database(mvcc=True)
+        db = Database()
         db.execute("CREATE TABLE CTR (id INTEGER PRIMARY KEY, n INTEGER)")
         db.execute("INSERT INTO CTR VALUES (1, 0)")
         errors: list = []
@@ -667,7 +667,7 @@ class TestFaultChaos:
     def test_transient_read_faults_are_absorbed(self, seed):
         from repro.relational.storage import FaultInjector, FaultPlan
 
-        db = company.figure1_database(mvcc=True, buffer_capacity=4)
+        db = company.figure1_database(buffer_capacity=4)
         injector = FaultInjector(
             seed=seed, plan=FaultPlan(read_error_rate=0.05)
         ).install(db)
@@ -730,7 +730,7 @@ class TestFaultChaos:
 @pytest.mark.parametrize("seed", SEEDS)
 class TestCrashRecoveryMidWorkload:
     def test_committed_durable_uncommitted_gone(self, seed):
-        db = Database(mvcc=True)
+        db = Database()
         db.execute(
             "CREATE TABLE ACC (id INTEGER PRIMARY KEY, bal INTEGER)"
         )
@@ -750,7 +750,7 @@ class TestCrashRecoveryMidWorkload:
         db.execute(f"INSERT INTO AUDIT VALUES (999, 999)")
         db.txn_manager.wal.crash()
 
-        reopened = Database(disk=db.disk, wal=db.txn_manager.wal, mvcc=True)
+        reopened = Database(disk=db.disk, wal=db.txn_manager.wal)
         reopened.execute(
             "CREATE TABLE ACC (id INTEGER PRIMARY KEY, bal INTEGER)"
         )

@@ -1,9 +1,9 @@
-"""Multiple sessions over one database: lock conflicts and isolation."""
+"""Multiple sessions over one database: lock conflicts and snapshot
+isolation."""
 
 import pytest
 
 from repro.errors import DeadlockError
-from repro.relational.txn.manager import IsolationLevel
 
 
 @pytest.fixture
@@ -43,25 +43,32 @@ class TestSessionIndependence:
 
 class TestLockConflicts:
     def test_writer_blocks_reader(self, shared):
-        db, a, b = shared
+        """Snapshot isolation: the writer does not block the reader, which
+        sees the pre-delete state until the writer commits."""
+        _, a, b = shared
         a.begin()
         a.execute("DELETE FROM PEOPLE WHERE id = 1")
         b.begin()
-        if db.mvcc is not None:
-            # Snapshot isolation: the reader never blocks and sees the
-            # pre-delete state until the writer commits.
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            a.commit()
-            # b's snapshot predates a's commit: still 5 rows.
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            b.commit()
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 4
-            return
-        with pytest.raises(DeadlockError):
-            b.execute("SELECT * FROM PEOPLE")
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
         a.commit()
-        b.execute("SELECT * FROM PEOPLE")  # now fine
+        # b's snapshot predates a's commit: still 5 rows.
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
         b.commit()
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 4
+
+    def test_autocommit_reader_never_sees_uncommitted_write(self, people_db):
+        """No dirty reads: an autocommit SELECT in one session must not
+        see another session's uncommitted UPDATE, before or after it
+        rolls back."""
+        a, b = people_db.connect(), people_db.connect()
+        query = "SELECT age FROM PEOPLE WHERE id = 1"
+        original = b.execute(query).scalar()
+        a.begin()
+        a.execute("UPDATE PEOPLE SET age = 99 WHERE id = 1")
+        assert a.execute(query).scalar() == 99  # a sees its own write
+        assert b.execute(query).scalar() == original
+        a.rollback()
+        assert b.execute(query).scalar() == original
 
     def test_writer_blocks_writer(self, shared):
         _, a, b = shared
@@ -84,34 +91,15 @@ class TestLockConflicts:
         b.commit()
 
     def test_repeatable_read_blocks_writer_until_commit(self, shared):
-        db, a, b = shared
-        a.begin(IsolationLevel.REPEATABLE_READ)
+        """Readers hold no locks, so the writer proceeds; the reader's
+        reads stay repeatable because they come from its snapshot."""
+        _, a, b = shared
+        a.begin()
         a.execute("SELECT * FROM PEOPLE")
         b.begin()
-        if db.mvcc is not None:
-            # MVCC readers hold no S locks: the writer proceeds, and a's
-            # snapshot still shows the deleted row (repeatable reads come
-            # from versioning, not locks).
-            b.execute("DELETE FROM PEOPLE WHERE id = 1")
-            b.commit()
-            assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            a.commit()
-            return
-        with pytest.raises(DeadlockError):
-            b.execute("DELETE FROM PEOPLE WHERE id = 1")
-        a.commit()
         b.execute("DELETE FROM PEOPLE WHERE id = 1")
         b.commit()
-
-    def test_cursor_stability_releases_after_statement(self, shared):
-        """Section 1's 'cursor stability': read locks end with the
-        statement, so a writer can proceed before the reader commits."""
-        _, a, b = shared
-        a.begin(IsolationLevel.CURSOR_STABILITY)
-        a.execute("SELECT * FROM PEOPLE")
-        b.begin()
-        b.execute("DELETE FROM PEOPLE WHERE id = 1")  # no conflict
-        b.commit()
+        assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
         a.commit()
 
     def test_autocommit_reads_never_hold_locks(self, shared):

@@ -219,7 +219,7 @@ class TestAutoSharding:
 
 class TestShardedMVCC:
     def test_snapshot_visibility_on_sharded_table(self):
-        db = _parts_db(shards=4, mvcc=True)
+        db = _parts_db(shards=4)
         s1 = db.connect()
         s2 = db.connect()
         with s1._activate():
@@ -238,7 +238,7 @@ class TestShardedMVCC:
         assert (1, "g1", -5) in after
 
     def test_shard_views_respect_snapshots(self):
-        db = _parts_db(shards=2, mvcc=True)
+        db = _parts_db(shards=2)
         table = db.catalog.get_table("P")
         total = len(db.execute("SELECT * FROM P").rows)
         per_view = sum(

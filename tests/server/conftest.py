@@ -1,6 +1,5 @@
 """Fixtures for wire server/client tests: one server per test over a
-fresh Fig. 1 company database (MVCC mode, so snapshot-conflict paths are
-exercisable)."""
+fresh Fig. 1 company database."""
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.workloads.company import figure1_database
 
 @pytest.fixture
 def wire_server():
-    db = figure1_database(mvcc=True)
+    db = figure1_database()
     with ServerThread(db, max_connections=16) as server:
         yield server
 

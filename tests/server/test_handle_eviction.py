@@ -26,7 +26,7 @@ TAKE *
 @pytest.fixture
 def tight_server():
     """A server that only keeps 3 live handles per kind per connection."""
-    db = figure1_database(mvcc=True)
+    db = figure1_database()
     with ServerThread(db, max_connections=8, max_session_handles=3) as server:
         yield server
 
@@ -96,7 +96,7 @@ class TestCOEviction:
 
 class TestDefaultCapIsRoomy:
     def test_default_server_keeps_many_handles(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         with ServerThread(db, max_connections=4) as server:
             assert server.server.max_session_handles == 256
             with WireClient(port=server.port) as c:

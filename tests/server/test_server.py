@@ -26,10 +26,9 @@ from repro.workloads.company import FIGURE1_CO, figure1_database
 
 
 class TestQueries:
-    def test_hello_announces_session_and_mvcc(self, client):
+    def test_hello_announces_session(self, client):
         assert client.server_info["server"] == "repro-xnf"
         assert client.session_id >= 1
-        assert client.mvcc is True
 
     def test_select_roundtrip(self, client):
         result = client.execute(
@@ -146,7 +145,7 @@ class TestSessionControls:
             assert slow.execute("SELECT COUNT(*) FROM EMP").scalar() == 6
 
     def test_auth_token_gate(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         with ServerThread(db, auth_token="sesame") as server:
             with pytest.raises(AuthError):
                 with WireClient(port=server.port) as nosy:
@@ -157,7 +156,7 @@ class TestSessionControls:
                 assert ok.execute("SELECT COUNT(*) FROM DEPT").scalar() == 3
 
     def test_admission_limit_is_retryable_over_wire(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         with ServerThread(db, max_connections=2) as server:
             a = WireClient(port=server.port)
             b = WireClient(port=server.port)
@@ -189,6 +188,21 @@ class TestRetryableConflicts:
             assert info.value.backoff_hint_s == SerializationError.backoff_hint_s
             assert getattr(info.value, "remote", False)
             b.rollback()
+
+    def test_no_dirty_reads_across_wire_sessions(self):
+        """A default server never serves one session another session's
+        uncommitted write, even to an autocommit reader."""
+        with ServerThread(figure1_database()) as server, \
+                WireClient(port=server.port) as a, \
+                WireClient(port=server.port) as b:
+            query = "SELECT budget FROM DEPT WHERE dno = 1"
+            original = b.execute(query).scalar()
+            a.begin()
+            a.execute("UPDATE DEPT SET budget = 99 WHERE dno = 1")
+            assert a.execute(query).scalar() == 99
+            assert b.execute(query).scalar() == original
+            a.rollback()
+            assert b.execute(query).scalar() == original
 
     def test_client_run_retryable_converges(self, wire_server):
         """N remote writers increment one row under run_retryable: every
@@ -263,7 +277,7 @@ class TestObservability:
 
 class TestGracefulShutdown:
     def test_draining_refuses_new_connections_retryably(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         server = ServerThread(db).start()
         try:
             server.server._draining = True
@@ -275,7 +289,7 @@ class TestGracefulShutdown:
             server.stop()
 
     def test_shutdown_leaves_no_sessions(self):
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         server = ServerThread(db).start()
         clients = [WireClient(port=server.port) for _ in range(3)]
         for idx, c in enumerate(clients):
@@ -289,7 +303,7 @@ class TestGracefulShutdown:
 
     def test_in_flight_statement_drains(self):
         """A statement running when stop() is called still gets its answer."""
-        db = figure1_database(mvcc=True)
+        db = figure1_database()
         server = ServerThread(db, drain_timeout_s=30).start()
         client = WireClient(port=server.port)
         result = {}

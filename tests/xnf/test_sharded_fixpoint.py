@@ -132,7 +132,7 @@ class TestSkewedPartitions:
 
 class TestScatterInsideTransactions:
     def test_extraction_in_snapshot_still_identical(self):
-        db = oo1.build_parts_database(120, seed=9, shards=2, mvcc=True)
+        db = oo1.build_parts_database(120, seed=9, shards=2)
         _, outside = _extract(db, oo1.PARTS_CO)
         db.execute("BEGIN")
         try:
